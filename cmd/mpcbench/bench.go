@@ -329,26 +329,6 @@ func runBenchSuite(w io.Writer, seed uint64) (*BenchReport, error) {
 				relation.CollectStats(triDB)
 			}
 		}},
-		{"wire-encode-n16384", func(b *testing.B) {
-			frame := wireBenchFrame(seed, 1<<14)
-			for i := 0; i < b.N; i++ {
-				if err := wire.Encode(io.Discard, frame); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"wire-decode-n16384", func(b *testing.B) {
-			var buf bytes.Buffer
-			if err := wire.Encode(&buf, wireBenchFrame(seed, 1<<14)); err != nil {
-				b.Fatal(err)
-			}
-			data := buf.Bytes()
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.Decode(bytes.NewReader(data)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{"wire-fastpath-encode-n16384", func(b *testing.B) {
 			frames := []*wire.Frame{wireBenchFrame(seed, 1<<14)}
 			var head []byte

@@ -57,12 +57,13 @@ func startStuckWorker(t *testing.T) string {
 			return
 		}
 		defer conn.Close()
-		if f, err := wire.Decode(conn); err != nil || f.Type != wire.TypeHello {
+		rd := wire.NewReader(conn)
+		if f, err := rd.Next(); err != nil || f.Type != wire.TypeHello {
 			return
 		}
-		_ = wire.Encode(conn, &wire.Frame{Type: wire.TypeAck})
+		_ = writeFrame(conn, &wire.Frame{Type: wire.TypeAck})
 		for {
-			if _, err := wire.Decode(conn); err != nil {
+			if _, err := rd.Next(); err != nil {
 				return
 			}
 		}

@@ -2,8 +2,12 @@ package dist_test
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -141,6 +145,53 @@ func TestSessionIsolation(t *testing.T) {
 	}
 }
 
+// writeFrame encodes one frame and writes it to w, for tests that
+// drive one end of a session by hand.
+func writeFrame(w io.Writer, f *wire.Frame) error {
+	_, bufs, err := wire.AppendFrames(nil, []*wire.Frame{f})
+	if err != nil {
+		return err
+	}
+	nb := net.Buffers(bufs)
+	_, err = nb.WriteTo(w)
+	return err
+}
+
+// TestWorkerLyingLengthBounded: a dialer that completes the handshake
+// and then declares a MaxPayload Data frame, sends 3 bytes and hangs
+// up has its stream rejected without the worker allocating anywhere
+// near the declared 128 MiB.
+func TestWorkerLyingLengthBounded(t *testing.T) {
+	coord, worker := net.Pipe()
+	defer coord.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan error, 1)
+	go func() { done <- dist.ServeConn(context.Background(), worker) }()
+	if err := writeFrame(coord, &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{Version: wire.Version, P: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wire.NewReader(coord).Next(); err != nil || f.Type != wire.TypeAck {
+		t.Fatalf("handshake: %v %v", f, err)
+	}
+	lying := binary.BigEndian.AppendUint32([]byte{byte(wire.TypeData)}, wire.MaxPayload)
+	if _, err := coord.Write(append(lying, 1, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	err := <-done
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("session ended with %v, want io.ErrUnexpectedEOF", err)
+	}
+	// The allowance covers the session's own buffers and whatever other
+	// goroutines in the test binary allocate meanwhile; the declared
+	// payload alone would be eight times larger.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Fatalf("lying length cost the worker %.1f MiB", float64(alloc)/(1<<20))
+	}
+}
+
 // TestWorkerRejectsMisroutedData: a raw Data frame whose dest shard
 // is not the receiving worker's id is a protocol error, not a silent
 // misdelivery.
@@ -153,19 +204,20 @@ func TestWorkerRejectsMisroutedData(t *testing.T) {
 	defer conn.Close()
 	send := func(f *wire.Frame) {
 		t.Helper()
-		if err := wire.Encode(conn, f); err != nil {
+		if err := writeFrame(conn, f); err != nil {
 			t.Fatal(err)
 		}
 	}
+	rd := wire.NewReader(conn)
 	send(&wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{Version: wire.Version, Worker: 1, P: 2}})
-	if f, err := wire.Decode(conn); err != nil || f.Type != wire.TypeAck {
+	if f, err := rd.Next(); err != nil || f.Type != wire.TypeAck {
 		t.Fatalf("handshake: %v %v", f, err)
 	}
 	buf := exchange.NewBuffer(1)
 	buf.Append(relation.Tuple{1})
 	buf.Seal()
 	send(&wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Dest: 0, Rel: "R", Buf: buf}})
-	f, err := wire.Decode(conn)
+	f, err := rd.Next()
 	if err != nil || f.Type != wire.TypeError {
 		t.Fatalf("want error frame for misrouted data, got %v %v", f, err)
 	}

@@ -48,25 +48,20 @@ type workerConn struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
-	// rd is the trusted fast-path decoder over br: worker replies come
-	// from this repo's own worker processes, past the validating
-	// handshake.
+	// rd is the trusted decoder over br: worker replies come from this
+	// repo's own worker processes.
 	rd *wire.Reader
-	// head is the reusable fast-encoder scratch for frame headers and
+	// head is the reusable encoder scratch for frame headers and
 	// compressed payloads; word payloads are written zero-copy.
 	head []byte
 }
 
-// writeFrames fast-encodes frames and writes them to the connection as
-// one vectored write (raw word payloads go out as writev segments
-// aliasing the buffers, with no per-word re-encoding), flushing any
-// buffered control bytes first so frame order is preserved. The caller
-// holds wc.mu via roundTrip.
-func (wc *workerConn) writeFrames(frames []*wire.Frame) error {
-	if err := wc.bw.Flush(); err != nil {
-		return err
-	}
+// writeFrames encodes frames and writes them to the connection as one
+// vectored write (raw word payloads go out as writev segments aliasing
+// the buffers, with no per-word re-encoding). Every frame on the
+// connection goes through it, so frames leave in call order. The
+// caller holds wc.mu via roundTrip.
+func (wc *workerConn) writeFrames(frames ...*wire.Frame) error {
 	head, bufs, err := wire.AppendFrames(wc.head[:0], frames)
 	wc.head = head
 	if err != nil {
@@ -181,7 +176,6 @@ func dialHandshake(ctx context.Context, i, p int, addr string) (*workerConn, err
 		id:   i,
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 1<<16),
-		bw:   bufio.NewWriterSize(conn, 1<<16),
 	}
 	wc.rd = wire.NewTrustedReader(wc.br)
 	hello := &wire.Frame{Type: wire.TypeHello, Hello: wire.Hello{
@@ -190,10 +184,7 @@ func dialHandshake(ctx context.Context, i, p int, addr string) (*workerConn, err
 		P:       uint32(p),
 	}}
 	err = wc.roundTrip(ctx, func() error {
-		if err := wire.Encode(wc.bw, hello); err != nil {
-			return err
-		}
-		if err := wc.bw.Flush(); err != nil {
+		if err := wc.writeFrames(hello); err != nil {
 			return err
 		}
 		return wc.expectAck(0, false)
@@ -309,7 +300,7 @@ func deltaFrames(frames []*wire.Frame, round int, ds []DeltaDelivery) []*wire.Fr
 	return frames
 }
 
-// ApplyDelta implements Transport: delta runs are fast-framed and
+// ApplyDelta implements Transport: delta runs are framed and
 // written to their destination connections like Deliver, one vectored
 // send per worker. Delta frames are unacknowledged; Barrier is the
 // ingestion fence.
@@ -327,12 +318,12 @@ func (t *TCP) ApplyDelta(ctx context.Context, round int, ds []DeltaDelivery) err
 			return nil
 		}
 		return wc.roundTrip(ctx, func() error {
-			return wc.writeFrames(deltaFrames(nil, round, mine))
+			return wc.writeFrames(deltaFrames(nil, round, mine)...)
 		})
 	})
 }
 
-// Deliver implements Transport: runs are fast-framed and written to
+// Deliver implements Transport: runs are framed and written to
 // their destination connections as one vectored send per worker, all
 // workers in parallel. Barrier synchronizes.
 func (t *TCP) Deliver(ctx context.Context, round int, ds []exchange.Delivery) error {
@@ -349,21 +340,18 @@ func (t *TCP) Deliver(ctx context.Context, round int, ds []exchange.Delivery) er
 			return nil
 		}
 		return wc.roundTrip(ctx, func() error {
-			return wc.writeFrames(dataFrames(nil, round, mine))
+			return wc.writeFrames(dataFrames(nil, round, mine)...)
 		})
 	})
 }
 
-// Barrier implements Transport: every connection flushes its buffered
-// data frames, sends the barrier, and waits for the worker's ack.
+// Barrier implements Transport: every connection sends the barrier
+// and waits for the worker's ack.
 func (t *TCP) Barrier(ctx context.Context, round int) error {
 	return t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
 			f := &wire.Frame{Type: wire.TypeBarrier, Round: uint32(round)}
-			if err := wire.Encode(wc.bw, f); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
+			if err := wc.writeFrames(f); err != nil {
 				return err
 			}
 			return wc.expectAck(uint32(round), true)
@@ -389,10 +377,7 @@ func (t *TCP) Join(ctx context.Context, spec JoinSpec) error {
 	f := joinFrame(spec)
 	return t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
-			if err := wire.Encode(wc.bw, f); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
+			if err := wc.writeFrames(f); err != nil {
 				return err
 			}
 			return wc.expectAck(0, false)
@@ -437,10 +422,7 @@ func (t *TCP) Gather(ctx context.Context, view string) ([]*exchange.Buffer, erro
 	perWorker := make([][]*exchange.Buffer, len(t.conns))
 	err := t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
-			if err := wire.Encode(wc.bw, &wire.Frame{Type: wire.TypeGather, View: view}); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
+			if err := wc.writeFrames(&wire.Frame{Type: wire.TypeGather, View: view}); err != nil {
 				return err
 			}
 			runs, err := wc.readGatherStream(view)
@@ -515,7 +497,7 @@ func (t *TCP) RunScript(ctx context.Context, ops []recOp, view string) ([]*excha
 				}
 			}
 			frames = append(frames, &wire.Frame{Type: wire.TypeGather, View: view})
-			if err := wc.writeFrames(frames); err != nil {
+			if err := wc.writeFrames(frames...); err != nil {
 				return err
 			}
 			// The worker answers in script order: one ack per barrier and
@@ -560,7 +542,7 @@ func (t *TCP) SendTrace(ctx context.Context, h wire.TraceHeader) error {
 	f := &wire.Frame{Type: wire.TypeTrace, Trace: h}
 	return t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
-			return wc.writeFrames([]*wire.Frame{f})
+			return wc.writeFrames(f)
 		})
 	})
 }
@@ -594,10 +576,7 @@ func (t *TCP) JoinWorker(ctx context.Context, w int, spec JoinSpec) error {
 	f := joinFrame(spec)
 	wc := t.conns[w]
 	return wc.roundTrip(ctx, func() error {
-		if err := wire.Encode(wc.bw, f); err != nil {
-			return err
-		}
-		if err := wc.bw.Flush(); err != nil {
+		if err := wc.writeFrames(f); err != nil {
 			return err
 		}
 		return wc.expectAck(0, false)
@@ -613,10 +592,7 @@ func (t *TCP) Ping(ctx context.Context, w int, seq uint32) error {
 	}
 	wc := t.conns[w]
 	return wc.roundTrip(ctx, func() error {
-		if err := wire.Encode(wc.bw, &wire.Frame{Type: wire.TypePing, Round: seq}); err != nil {
-			return err
-		}
-		if err := wc.bw.Flush(); err != nil {
+		if err := wc.writeFrames(&wire.Frame{Type: wire.TypePing, Round: seq}); err != nil {
 			return err
 		}
 		f, err := wc.rd.Next()
@@ -642,10 +618,7 @@ func (t *TCP) Ping(ctx context.Context, w int, seq uint32) error {
 func (t *TCP) Announce(ctx context.Context, epoch uint32) error {
 	return t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
-			if err := wire.Encode(wc.bw, &wire.Frame{Type: wire.TypeEpoch, Round: epoch}); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
+			if err := wc.writeFrames(&wire.Frame{Type: wire.TypeEpoch, Round: epoch}); err != nil {
 				return err
 			}
 			return wc.expectAck(epoch, true)
@@ -660,10 +633,7 @@ func (t *TCP) Checkpoint(ctx context.Context, m *wire.Manifest) error {
 	f := &wire.Frame{Type: wire.TypeCheckpoint, Checkpoint: m}
 	return t.eachConn(func(wc *workerConn) error {
 		return wc.roundTrip(ctx, func() error {
-			if err := wire.Encode(wc.bw, f); err != nil {
-				return err
-			}
-			if err := wc.bw.Flush(); err != nil {
+			if err := wc.writeFrames(f); err != nil {
 				return err
 			}
 			return wc.expectAck(m.Round, true)

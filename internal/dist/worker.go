@@ -45,13 +45,12 @@ func ServeConn(ctx context.Context, conn net.Conn) error {
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
 	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	s := &session{store: newWorkerStore(), bw: bw, conn: conn}
+	s := &session{store: newWorkerStore(), conn: conn}
 
 	// The handshake frame comes from an unauthenticated dialer, so it
-	// goes through the validating decoder; everything after it is our
-	// own coordinator speaking the fast path.
-	hello, err := wire.Decode(br)
+	// goes through a validating reader; everything after it is trusted
+	// as our own coordinator.
+	hello, err := wire.NewReader(br).Next()
 	if err != nil {
 		return fmt.Errorf("dist: worker handshake: %w", err)
 	}
@@ -88,11 +87,9 @@ func ServeConn(ctx context.Context, conn net.Conn) error {
 type session struct {
 	id    uint32
 	store *workerStore
-	bw    *bufio.Writer
-	// conn is the raw connection, used for vectored gather replies
-	// that bypass bw (which is flushed first to preserve order).
+	// conn is the raw connection every reply is written to.
 	conn net.Conn
-	// head is the reusable fast-encoder scratch for gather replies.
+	// head is the reusable encoder scratch for replies.
 	head []byte
 	// epoch is the last recovery epoch the coordinator announced on
 	// this session; announcements may only grow it, and checkpoint
@@ -105,12 +102,17 @@ type session struct {
 	trace wire.TraceHeader
 }
 
-// reply encodes a frame and flushes it.
-func (s *session) reply(f *wire.Frame) error {
-	if err := wire.Encode(s.bw, f); err != nil {
+// reply encodes frames and writes them to the connection as one
+// vectored write.
+func (s *session) reply(frames ...*wire.Frame) error {
+	head, bufs, err := wire.AppendFrames(s.head[:0], frames)
+	s.head = head
+	if err != nil {
 		return err
 	}
-	return s.bw.Flush()
+	nb := net.Buffers(bufs)
+	_, err = nb.WriteTo(s.conn)
+	return err
 }
 
 // abort reports err to the coordinator as an Error frame (best
@@ -197,17 +199,7 @@ func (s *session) handle(f *wire.Frame) error {
 			}})
 		}
 		frames = append(frames, &wire.Frame{Type: wire.TypeDone, Count: uint32(len(runs))})
-		if err := s.bw.Flush(); err != nil {
-			return err
-		}
-		head, bufs, err := wire.AppendFrames(s.head[:0], frames)
-		s.head = head
-		if err != nil {
-			return err
-		}
-		nb := net.Buffers(bufs)
-		_, err = nb.WriteTo(s.conn)
-		return err
+		return s.reply(frames...)
 	default:
 		return fmt.Errorf("unexpected %s frame", f.Type)
 	}

@@ -38,22 +38,27 @@ type WireRow struct {
 	Tuples int
 	// FrameBytes is the encoded frame size.
 	FrameBytes int
-	// EncodeMiBPerSec is serialization throughput.
+	// EncodeMiBPerSec is wire.AppendFrames throughput: the frame head
+	// and the vectored write list, with the raw words as a zero-copy
+	// segment.
 	EncodeMiBPerSec float64
-	// DecodeMiBPerSec is deserialization throughput (including the
-	// validating buffer reconstruction).
+	// TrustedDecodeMiBPerSec is the trusted reader's throughput — the
+	// mode coordinator and workers run after the handshake.
+	TrustedDecodeMiBPerSec float64
+	// DecodeMiBPerSec is the validating reader's throughput (including
+	// the sorted and packed-width checks).
 	DecodeMiBPerSec float64
 }
 
-// Wire measures encode and decode throughput of the wire format's
+// Wire measures encode and decode throughput of the wire codec's
 // columnar data frame for each buffer size: 3-ary packed tuples (the
-// triangle-scatter shape), repeated enough times to smooth timer
-// noise.
+// triangle-scatter shape, shipped as raw words), each column timed
+// over enough repetitions to smooth timer noise.
 func Wire(w io.Writer, sizes []int, seed uint64) ([]WireRow, error) {
 	rng := rand.New(rand.NewPCG(seed, 0x33))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "E-WIRE: wire codec throughput, packed 3-ary data frames")
-	fmt.Fprintln(tw, "tuples\tframe bytes\tencode MiB/s\tdecode MiB/s")
+	fmt.Fprintln(tw, "E-WIRE: wire codec throughput, raw-encoded packed 3-ary data frames")
+	fmt.Fprintln(tw, "tuples\tframe bytes\tencode MiB/s\ttrusted decode MiB/s\tvalidating decode MiB/s")
 	var rows []WireRow
 	for _, n := range sizes {
 		if n < 1 {
@@ -68,40 +73,51 @@ func Wire(w io.Writer, sizes []int, seed uint64) ([]WireRow, error) {
 			buf.Append(row)
 		}
 		buf.Seal()
-		frame := &wire.Frame{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "R", Buf: buf}}
-		var enc bytes.Buffer
-		if err := wire.Encode(&enc, frame); err != nil {
+		frames := []*wire.Frame{{Type: wire.TypeData, Data: wire.Data{Round: 1, Rel: "R", Buf: buf}}}
+		head, bufs, err := wire.AppendFrames(nil, frames)
+		if err != nil {
 			return nil, err
 		}
-		reps := 2_000_000 / n
-		if reps < 3 {
-			reps = 3
+		enc := bytes.Join(bufs, nil)
+		r := WireRow{Tuples: n, FrameBytes: len(enc)}
+		if r.EncodeMiBPerSec, err = mibPerSec(len(enc), func() error {
+			head, _, err = wire.AppendFrames(head[:0], frames)
+			return err
+		}); err != nil {
+			return nil, err
 		}
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := wire.Encode(io.Discard, frame); err != nil {
-				return nil, err
-			}
+		if r.TrustedDecodeMiBPerSec, err = mibPerSec(len(enc), func() error {
+			_, err := wire.NewTrustedReader(bytes.NewReader(enc)).Next()
+			return err
+		}); err != nil {
+			return nil, err
 		}
-		encSec := time.Since(start).Seconds()
-		start = time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := wire.Decode(bytes.NewReader(enc.Bytes())); err != nil {
-				return nil, err
-			}
-		}
-		decSec := time.Since(start).Seconds()
-		mib := float64(enc.Len()) * float64(reps) / (1 << 20)
-		r := WireRow{
-			Tuples:          n,
-			FrameBytes:      enc.Len(),
-			EncodeMiBPerSec: mib / encSec,
-			DecodeMiBPerSec: mib / decSec,
+		if r.DecodeMiBPerSec, err = mibPerSec(len(enc), func() error {
+			_, err := wire.NewReader(bytes.NewReader(enc)).Next()
+			return err
+		}); err != nil {
+			return nil, err
 		}
 		rows = append(rows, r)
-		fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\n", r.Tuples, r.FrameBytes, r.EncodeMiBPerSec, r.DecodeMiBPerSec)
+		fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\t%.1f\n", r.Tuples, r.FrameBytes, r.EncodeMiBPerSec, r.TrustedDecodeMiBPerSec, r.DecodeMiBPerSec)
 	}
 	return rows, tw.Flush()
+}
+
+// mibPerSec runs fn in doubling batches until one batch takes at least
+// 20 ms and returns the throughput in MiB/s of frameBytes per call.
+func mibPerSec(frameBytes int, fn func() error) (float64, error) {
+	for reps := 1; ; reps *= 2 {
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			if err := fn(); err != nil {
+				return 0, err
+			}
+		}
+		if sec := time.Since(start).Seconds(); sec >= 0.02 {
+			return float64(frameBytes) * float64(reps) / (1 << 20) / sec, nil
+		}
+	}
 }
 
 // SkewRow is one point of the E-SKEW experiment.

@@ -1,10 +1,7 @@
 package wire
 
 import (
-	"bytes"
-	"io"
 	"math/rand/v2"
-	"testing"
 
 	"repro/internal/exchange"
 	"repro/internal/relation"
@@ -24,39 +21,4 @@ func benchFrame(n int) *Frame {
 	}
 	b.Seal()
 	return &Frame{Type: TypeData, Data: Data{Round: 1, Dest: 0, Rel: "R", Buf: b}}
-}
-
-// BenchmarkWireEncode measures serialization throughput of the
-// columnar data frame (bytes/op via SetBytes → MB/s in the output).
-func BenchmarkWireEncode(b *testing.B) {
-	f := benchFrame(1 << 16)
-	var probe bytes.Buffer
-	if err := Encode(&probe, f); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(probe.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Encode(io.Discard, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireDecode measures deserialization throughput, including
-// the validating buffer reconstruction.
-func BenchmarkWireDecode(b *testing.B) {
-	f := benchFrame(1 << 16)
-	var buf bytes.Buffer
-	if err := Encode(&buf, f); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

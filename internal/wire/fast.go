@@ -3,29 +3,20 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"unsafe"
 
 	"repro/internal/exchange"
 )
 
-// This file is the trusted fast path of the codec: the encoder and
-// decoder used between this repo's own coordinator and worker
-// processes, where every Data payload comes from a sealed
-// exchange.Buffer by construction. The fast encoder reinterprets the
-// packed word slice as raw little-endian bytes (an unsafe slice view,
-// no per-word re-encoding) and hands the payload back as separate
-// write segments so the transport can issue one vectored (writev)
-// send per batch; when a sorted column is delta-compressible it
-// switches to the uvarint delta encoding instead and inlines the
-// smaller payload. The trusted Reader decodes raw payloads with a
-// single copy into word memory and skips the re-sort and high-bit
-// validation that the untrusted path performs.
-//
-// The validating Decode remains the mandatory path for untrusted
-// input — worker handshakes, fuzzing, and the differential oracle —
-// and accepts every fast encoding, so anything the fast path emits
-// can always be checked against it.
+// This file is the codec's encoder. Every frame goes out through
+// AppendFrames, which appends headers, control payloads and compressed
+// buffer bodies to one reusable head buffer and hands raw packed word
+// payloads back as separate zero-copy segments, so the transport can
+// issue one vectored (writev) send per batch. The raw segment
+// reinterprets a sealed buffer's word slice as little-endian bytes (an
+// unsafe slice view, no per-word re-encoding); when a sorted column is
+// delta-compressible the encoder inlines the smaller uvarint delta
+// body instead.
 
 // hostLittleEndian reports whether native uint64 memory order matches
 // the encRaw wire order; big-endian hosts fall back to per-word byte
@@ -35,7 +26,7 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// deltaMinWords is the smallest packed run the fast encoder considers
+// deltaMinWords is the smallest packed run the encoder considers
 // delta-compressing; below it the size probe costs more than the copy.
 const deltaMinWords = 32
 
@@ -57,7 +48,7 @@ func wordsLE(words []uint64) (b []byte, ok bool) {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8), true
 }
 
-// appendUvint-style helpers for the append-based fast encoder.
+// appendU16, appendU32 and appendU64 append big-endian integers.
 func appendU16(dst []byte, v uint16) []byte {
 	return append(dst, byte(v>>8), byte(v))
 }
@@ -70,12 +61,16 @@ func appendU64(dst []byte, v uint64) []byte {
 	return binary.BigEndian.AppendUint64(dst, v)
 }
 
-func appendString(dst []byte, s string) ([]byte, error) {
-	if len(s) > maxName {
-		return dst, fmt.Errorf("wire: string of %d bytes exceeds %d", len(s), maxName)
+// appendStrings appends each string uint16-length-prefixed.
+func appendStrings(dst []byte, ss ...string) ([]byte, error) {
+	for _, s := range ss {
+		if len(s) > maxName {
+			return dst, fmt.Errorf("wire: string of %d bytes exceeds %d", len(s), maxName)
+		}
+		dst = appendU16(dst, uint16(len(s)))
+		dst = append(dst, s...)
 	}
-	dst = appendU16(dst, uint16(len(s)))
-	return append(dst, s...), nil
+	return dst, nil
 }
 
 // segRef marks a zero-copy word segment to splice into the vectored
@@ -85,7 +80,7 @@ type segRef struct {
 	seg   []byte
 }
 
-// AppendFrames fast-encodes frames for one connection. Frame headers,
+// AppendFrames encodes frames for one connection. Frame headers,
 // control payloads and compressed Data payloads are appended to head
 // (which may be nil; the grown slice is returned for reuse); raw
 // packed Data payloads are returned as separate zero-copy segments
@@ -135,14 +130,20 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 	var err error
 	switch f.Type {
 	case TypeData:
-		dst, seg, err = appendData(dst, &f.Data)
-		if err != nil {
-			return dst, nil, err
+		dst = appendU32(dst, f.Data.Round)
+		dst = appendU32(dst, f.Data.Dest)
+		if dst, err = appendStrings(dst, f.Data.Rel); err == nil {
+			dst, seg, err = appendBufferBody(dst, f.Data.Buf)
 		}
 	case TypeDelta:
-		dst, seg, err = appendDelta(dst, &f.Delta)
-		if err != nil {
-			return dst, nil, err
+		dst = appendU32(dst, f.Delta.Round)
+		dst = appendU32(dst, f.Delta.Dest)
+		if dst, err = appendStrings(dst, f.Delta.Store, f.Delta.View); err == nil {
+			op := byte(0)
+			if f.Delta.Del {
+				op = 1
+			}
+			dst, seg, err = appendBufferBody(append(dst, op), f.Delta.Buf)
 		}
 	case TypeHello:
 		dst = appendU16(dst, f.Hello.Version)
@@ -151,50 +152,37 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
 		dst = appendU32(dst, f.Round)
 	case TypeJoin:
-		if dst, err = appendString(dst, f.Join.Query); err != nil {
-			return dst, nil, err
-		}
-		if dst, err = appendString(dst, f.Join.View); err != nil {
-			return dst, nil, err
-		}
-		dst = append(dst, f.Join.Strategy)
 		if len(f.Join.Bindings) > maxName {
 			return dst, nil, fmt.Errorf("wire: %d bindings exceed limit", len(f.Join.Bindings))
 		}
+		if dst, err = appendStrings(dst, f.Join.Query, f.Join.View); err != nil {
+			return dst, nil, err
+		}
+		dst = append(dst, f.Join.Strategy)
 		dst = appendU16(dst, uint16(len(f.Join.Bindings)))
 		for _, b := range f.Join.Bindings {
-			if dst, err = appendString(dst, b[0]); err != nil {
-				return dst, nil, err
-			}
-			if dst, err = appendString(dst, b[1]); err != nil {
+			if dst, err = appendStrings(dst, b[0], b[1]); err != nil {
 				return dst, nil, err
 			}
 		}
 	case TypeGather:
-		if dst, err = appendString(dst, f.View); err != nil {
-			return dst, nil, err
-		}
+		dst, err = appendStrings(dst, f.View)
 	case TypeDone:
 		dst = appendU32(dst, f.Count)
 	case TypeError:
-		if dst, err = appendString(dst, f.Msg); err != nil {
-			return dst, nil, err
-		}
+		dst, err = appendStrings(dst, f.Msg)
 	case TypeCheckpoint:
-		// Checkpoints reuse the canonical manifest validation so the
-		// byte representation stays unique.
-		if dst, err = appendManifest(dst, f.Checkpoint); err != nil {
-			return dst, nil, err
-		}
+		dst, err = appendManifest(dst, f.Checkpoint)
 	case TypeTrace:
 		dst = appendU64(dst, f.Trace.TraceID)
 		dst = appendU64(dst, f.Trace.Span)
 		dst = appendU32(dst, f.Trace.Round)
-		if dst, err = appendString(dst, f.Trace.QueryID); err != nil {
-			return dst, nil, err
-		}
+		dst, err = appendStrings(dst, f.Trace.QueryID)
 	default:
-		return dst, nil, fmt.Errorf("wire: encode unknown frame type %d", f.Type)
+		err = fmt.Errorf("wire: encode unknown frame type %d", f.Type)
+	}
+	if err != nil {
+		return dst, nil, err
 	}
 	n := len(dst) - bodyAt + len(seg)
 	if n > MaxPayload {
@@ -204,8 +192,9 @@ func appendFrame(dst []byte, f *Frame) ([]byte, []byte, error) {
 	return dst, seg, nil
 }
 
-// appendManifest append-encodes a checkpoint manifest with the same
-// canonical validation as encodeManifest.
+// appendManifest appends a checkpoint manifest, enforcing the
+// canonical strictly-ascending (worker, store) entry order so every
+// manifest has one byte representation.
 func appendManifest(dst []byte, m *Manifest) ([]byte, error) {
 	if m == nil {
 		return dst, fmt.Errorf("wire: checkpoint frame without manifest")
@@ -219,7 +208,7 @@ func appendManifest(dst []byte, m *Manifest) ([]byte, error) {
 			return dst, fmt.Errorf("wire: manifest entries not strictly ascending at %d", i)
 		}
 		dst = appendU32(dst, e.Worker)
-		if dst, err = appendString(dst, e.Store); err != nil {
+		if dst, err = appendStrings(dst, e.Store); err != nil {
 			return dst, err
 		}
 		dst = appendU32(dst, e.Runs)
@@ -228,49 +217,17 @@ func appendManifest(dst []byte, m *Manifest) ([]byte, error) {
 	return dst, nil
 }
 
-// appendData appends a Data payload, choosing the encoding: packed
-// buffers ship as zero-copy raw words (returned as seg) unless the
-// column delta-compresses below deltaMaxRatio, in which case the
-// smaller delta payload is inlined; flat-path buffers keep the
-// canonical big-endian flat encoding.
-func appendData(dst []byte, d *Data) ([]byte, []byte, error) {
-	dst = appendU32(dst, d.Round)
-	dst = appendU32(dst, d.Dest)
-	var err error
-	if dst, err = appendString(dst, d.Rel); err != nil {
-		return dst, nil, err
-	}
-	return appendBufferBody(dst, d.Buf)
-}
-
-// appendDelta appends a Delta payload; the buffer body shares the
-// Data encodings and encoding choice.
-func appendDelta(dst []byte, d *Delta) ([]byte, []byte, error) {
-	dst = appendU32(dst, d.Round)
-	dst = appendU32(dst, d.Dest)
-	var err error
-	if dst, err = appendString(dst, d.Store); err != nil {
-		return dst, nil, err
-	}
-	if dst, err = appendString(dst, d.View); err != nil {
-		return dst, nil, err
-	}
-	if d.Del {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	return appendBufferBody(dst, d.Buf)
-}
-
 // appendBufferBody appends one sealed buffer body, choosing the
-// encoding as documented on appendData.
+// encoding: packed buffers ship as zero-copy raw words (returned as
+// the segment) unless the column delta-compresses below deltaMaxRatio,
+// in which case the smaller delta body is inlined; flat-path buffers
+// use the big-endian flat encoding.
 func appendBufferBody(dst []byte, buf *exchange.Buffer) ([]byte, []byte, error) {
 	if !buf.Sealed() {
-		// Both fast encodings assume sorted words (raw is validated as
+		// Both packed encodings assume sorted words (raw is validated as
 		// sorted on receive, delta cannot represent disorder), and the
 		// dist layer only ever ships sealed runs.
-		return dst, nil, fmt.Errorf("wire: fast-encode of unsealed buffer")
+		return dst, nil, fmt.Errorf("wire: encode of unsealed buffer")
 	}
 	arity := buf.Arity()
 	if arity < 1 || arity > maxName {
@@ -303,192 +260,4 @@ func appendBufferBody(dst []byte, buf *exchange.Buffer) ([]byte, []byte, error) 
 		dst = appendU64(dst, uint64(int64(v)))
 	}
 	return dst, nil, nil
-}
-
-// Reader decodes frames from a stream this process trusts — the
-// post-handshake coordinator↔worker connections, whose Data payloads
-// are produced from sealed buffers by our own fast encoder. Raw word
-// payloads decode with a single copy into word memory and skip the
-// re-sort and high-bit validation of the untrusted path; control
-// frames go through the same validating parser as Decode. The payload
-// scratch buffer is reused across calls, so decoding allocates only
-// the word storage that outlives the frame.
-//
-// A Reader must never be pointed at input from outside this process's
-// trust boundary; Decode is the mandatory path there.
-type Reader struct {
-	r   io.Reader
-	buf []byte
-}
-
-// NewTrustedReader returns a Reader over r, which should already be
-// buffered (the dist transports hand in their connection's
-// bufio.Reader).
-func NewTrustedReader(r io.Reader) *Reader {
-	return &Reader{r: r}
-}
-
-// Next reads and decodes one frame. It returns io.EOF when the stream
-// ends cleanly between frames and io.ErrUnexpectedEOF mid-frame,
-// matching Decode.
-func (rd *Reader) Next() (*Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(rd.r, hdr[:1]); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(rd.r, hdr[1:]); err != nil {
-		return nil, unexpected(err)
-	}
-	typ := Type(hdr[0])
-	n := int(binary.BigEndian.Uint32(hdr[1:]))
-	if n > MaxPayload {
-		return nil, fmt.Errorf("wire: %s payload length %d exceeds %d", typ, n, MaxPayload)
-	}
-	if cap(rd.buf) < n {
-		rd.buf = make([]byte, n)
-	}
-	body := rd.buf[:n]
-	if _, err := io.ReadFull(rd.r, body); err != nil {
-		return nil, unexpected(err)
-	}
-	switch typ {
-	case TypeData:
-		f := &Frame{Type: typ}
-		if err := decodeDataTrusted(body, &f.Data); err != nil {
-			return nil, fmt.Errorf("wire: %s frame: %w", typ, err)
-		}
-		return f, nil
-	case TypeDelta:
-		f := &Frame{Type: typ}
-		if err := decodeDeltaTrusted(body, &f.Delta); err != nil {
-			return nil, fmt.Errorf("wire: %s frame: %w", typ, err)
-		}
-		return f, nil
-	default:
-		return decodePayload(typ, body)
-	}
-}
-
-// decodeDataTrusted parses a Data payload on the trusted path: raw
-// and packed words go straight into sealed buffers without re-sorting
-// or width validation, delta payloads decode through the (inherently
-// order-preserving) varint codec, and the flat fallback reuses the
-// validating constructor since it is off the hot path.
-func decodeDataTrusted(body []byte, d *Data) error {
-	p := &payloadReader{b: body}
-	d.Round = p.u32()
-	d.Dest = p.u32()
-	d.Rel = p.str()
-	buf, err := decodeBufferBodyTrusted(p)
-	if err != nil {
-		return err
-	}
-	d.Buf = buf
-	return nil
-}
-
-// decodeDeltaTrusted parses a Delta payload on the trusted path; the
-// buffer body shares decodeDataTrusted's fast decodings.
-func decodeDeltaTrusted(body []byte, d *Delta) error {
-	p := &payloadReader{b: body}
-	d.Round = p.u32()
-	d.Dest = p.u32()
-	d.Store = p.str()
-	d.View = p.str()
-	op := p.u8()
-	if p.err == nil && op > 1 {
-		return fmt.Errorf("delta op %d", op)
-	}
-	d.Del = op == 1
-	buf, err := decodeBufferBodyTrusted(p)
-	if err != nil {
-		return err
-	}
-	d.Buf = buf
-	return nil
-}
-
-// decodeBufferBodyTrusted parses one buffer body on the trusted path
-// and requires full payload consumption.
-func decodeBufferBodyTrusted(p *payloadReader) (*exchange.Buffer, error) {
-	arity := int(p.u16())
-	enc := p.u8()
-	count := int(p.u32())
-	if p.err != nil {
-		return nil, p.err
-	}
-	if arity < 1 {
-		return nil, fmt.Errorf("arity %d", arity)
-	}
-	var out *exchange.Buffer
-	switch enc {
-	case encRaw:
-		if !p.need(count * 8) {
-			return nil, p.err
-		}
-		raw := p.b[p.off : p.off+count*8]
-		p.off += count * 8
-		words := make([]uint64, count)
-		if hostLittleEndian {
-			if count > 0 {
-				copy(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), count*8), raw)
-			}
-		} else {
-			for i := range words {
-				words[i] = binary.LittleEndian.Uint64(raw[i*8:])
-			}
-		}
-		buf, err := exchange.NewBufferFromSortedWords(arity, words)
-		if err != nil {
-			return nil, err
-		}
-		out = buf
-	case encDelta:
-		words, err := exchange.DecodeDeltaWords(p.b[p.off:], count)
-		if err != nil {
-			return nil, err
-		}
-		p.off = len(p.b)
-		buf, err := exchange.NewBufferFromSortedWords(arity, words)
-		if err != nil {
-			return nil, err
-		}
-		out = buf
-	case encPacked:
-		if !p.need(count * 8) {
-			return nil, p.err
-		}
-		words := make([]uint64, count)
-		for i := range words {
-			words[i] = p.u64()
-		}
-		buf, err := exchange.NewBufferFromSortedWords(arity, words)
-		if err != nil {
-			return nil, err
-		}
-		out = buf
-	case encFlat:
-		values := count * arity
-		if !p.need(values * 8) {
-			return nil, p.err
-		}
-		flat := make([]int, values)
-		for i := range flat {
-			flat[i] = int(int64(p.u64()))
-		}
-		buf, err := exchange.NewBufferFromFlat(arity, flat)
-		if err != nil {
-			return nil, err
-		}
-		out = buf
-	default:
-		return nil, fmt.Errorf("unknown buffer encoding %d", enc)
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	if len(p.b) != p.off {
-		return nil, fmt.Errorf("%d trailing payload bytes", len(p.b)-p.off)
-	}
-	return out, nil
 }

@@ -13,9 +13,9 @@ import (
 	"repro/internal/relation"
 )
 
-// fastEncode runs frames through AppendFrames and flattens the
-// vectored write list into one byte stream, as a connection would see.
-func fastEncode(t *testing.T, frames []*Frame) []byte {
+// encode runs frames through AppendFrames and flattens the vectored
+// write list into one byte stream, as a connection would see.
+func encode(t testing.TB, frames []*Frame) []byte {
 	t.Helper()
 	_, bufs, err := AppendFrames(nil, frames)
 	if err != nil {
@@ -42,26 +42,25 @@ func zipfBuffer(t *testing.T, n int, seed uint64) *exchange.Buffer {
 	return b
 }
 
-// TestFastRoundTrip: every frame type fast-encodes into bytes that
-// BOTH the trusted Reader and the validating Decode accept, and the
-// two decoders agree exactly — the differential contract of the fast
-// path.
+// TestFastRoundTrip: every frame type encodes into bytes that BOTH
+// reader modes accept, and the two modes agree exactly — the
+// differential contract of the trust mode.
 func TestFastRoundTrip(t *testing.T) {
 	frames := sampleFrames(t)
 	frames = append(frames,
 		&Frame{Type: TypeData, Data: Data{Round: 3, Dest: 1, Rel: "Z", Buf: zipfBuffer(t, 4096, 3)}},
 		&Frame{Type: TypeData, Data: Data{Round: 3, Dest: 2, Rel: "E", Buf: buildBuffer(t, 3, 0, 10, 4)}},
 	)
-	stream := fastEncode(t, frames)
+	stream := encode(t, frames)
 
 	trusted := NewTrustedReader(bytes.NewReader(stream))
-	validating := bytes.NewReader(stream)
+	validating := NewReader(bytes.NewReader(stream))
 	for i, want := range frames {
 		ft, err := trusted.Next()
 		if err != nil {
 			t.Fatalf("frame %d (%s): trusted decode: %v", i, want.Type, err)
 		}
-		fv, err := Decode(validating)
+		fv, err := validating.Next()
 		if err != nil {
 			t.Fatalf("frame %d (%s): validating decode: %v", i, want.Type, err)
 		}
@@ -179,12 +178,12 @@ func TestFastRejectsUnsealed(t *testing.T) {
 // payloads that are not sorted.
 func TestValidatingRejectsDirtyRawWords(t *testing.T) {
 	buf := buildBuffer(t, 3, 4, 10, 29)
-	stream := fastEncode(t, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: buf}}})
+	stream := encode(t, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: buf}}})
 
 	dirty := mutate(stream, func(b []byte) {
 		b[len(b)-1] |= 0x80 // little-endian: last byte holds bit 63 of the last word
 	})
-	if _, err := Decode(bytes.NewReader(dirty)); err == nil || !strings.Contains(err.Error(), "bits above") {
+	if _, err := NewReader(bytes.NewReader(dirty)).Next(); err == nil || !strings.Contains(err.Error(), "bits above") {
 		t.Fatalf("dirty raw word: %v, want high-bit rejection", err)
 	}
 
@@ -194,7 +193,7 @@ func TestValidatingRejectsDirtyRawWords(t *testing.T) {
 		first := len(b) - 4*8
 		b[first+7] = 0x40
 	})
-	if _, err := Decode(bytes.NewReader(unsorted)); err == nil || !strings.Contains(err.Error(), "sorted") {
+	if _, err := NewReader(bytes.NewReader(unsorted)).Next(); err == nil || !strings.Contains(err.Error(), "sorted") {
 		t.Fatalf("unsorted raw words: %v, want sorted rejection", err)
 	}
 }
@@ -211,7 +210,7 @@ func TestValidatingRejectsDirtyDeltaWords(t *testing.T) {
 	var body []byte
 	body = appendU32(body, 0) // round
 	body = appendU32(body, 0) // dest
-	body, _ = appendString(body, "R")
+	body, _ = appendStrings(body, "R")
 	body = appendU16(body, 3) // arity 3 → 21 bits/value, 63 used
 	body = append(body, encDelta)
 	body = appendU32(body, uint32(len(words)))
@@ -219,22 +218,17 @@ func TestValidatingRejectsDirtyDeltaWords(t *testing.T) {
 	stream := []byte{byte(TypeData)}
 	stream = appendU32(stream, uint32(len(body)))
 	stream = append(stream, body...)
-	if _, err := Decode(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "bits above") {
+	if _, err := NewReader(bytes.NewReader(stream)).Next(); err == nil || !strings.Contains(err.Error(), "bits above") {
 		t.Fatalf("dirty delta word: %v, want high-bit rejection", err)
 	}
 }
 
-// BenchmarkWireFastEncode measures the trusted fast encoder on the
-// same frame shape as BenchmarkWireEncode, including assembling the
-// vectored write list (but not the syscall).
+// BenchmarkWireFastEncode measures the encoder on a raw-encoded data
+// frame, including assembling the vectored write list (but not the
+// syscall).
 func BenchmarkWireFastEncode(b *testing.B) {
-	f := benchFrame(1 << 16)
-	var probe bytes.Buffer
-	if err := Encode(&probe, f); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(probe.Len()))
-	frames := []*Frame{f}
+	frames := []*Frame{benchFrame(1 << 16)}
+	b.SetBytes(int64(len(encode(b, frames))))
 	var head []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"math/rand/v2"
+	"reflect"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/exchange"
@@ -10,19 +12,16 @@ import (
 )
 
 // FuzzDecodeFrame holds the decoder to its safety contract on
-// arbitrary input: it must return an error or a valid frame — never
-// panic — and anything it accepts must survive an encode/decode
-// round trip unchanged (up to buffer materialization). The seed
-// corpus is real encoded frames of every type, both buffer encodings
-// included, so the fuzzer starts from deep in the valid format.
+// arbitrary input, in both reader modes: each must return an error or
+// a frame — never panic — while allocating in proportion to the input,
+// and whenever the validating mode accepts a frame the trusted mode
+// must accept an identical one. Anything accepted must survive an
+// encode/decode round trip unchanged (up to buffer materialization).
+// The seed corpus is real encoded frames of every type, all three
+// buffer encodings included, so the fuzzer starts from deep in the
+// valid format.
 func FuzzDecodeFrame(f *testing.F) {
-	seed := func(fr *Frame) {
-		var buf bytes.Buffer
-		if err := Encode(&buf, fr); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
+	seed := func(fr *Frame) { f.Add(encode(f, []*Frame{fr})) }
 	rng := rand.New(rand.NewPCG(7, 7))
 	packed := exchange.NewBuffer(3)
 	row := make(relation.Tuple, 3)
@@ -74,32 +73,20 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&Frame{Type: TypeTrace, Trace: TraceHeader{}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 1, Store: "R", View: "delta!R!7", Buf: packed}})
 	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 4, Dest: 2, Store: "S", Del: true, Buf: flat}})
-	// Fast-path encodings: the same frames as the fast encoder ships
-	// them — raw little-endian words for the random buffer, delta
-	// varints for a skewed one — so the fuzzer mutates deep inside
-	// encRaw and encDelta payloads too.
-	fastSeed := func(fr *Frame) {
-		_, bufs, err := AppendFrames(nil, []*Frame{fr})
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		for _, b := range bufs {
-			buf.Write(b)
-		}
-		f.Add(buf.Bytes())
-	}
-	fastSeed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Buf: packed}})
-	fastSeed(&Frame{Type: TypeData, Data: Data{Round: 0, Dest: 3, Rel: "hc!answers", Buf: wide}})
+	// Raw little-endian words for the random buffers, delta varints
+	// for a skewed one, so the fuzzer mutates deep inside encRaw and
+	// encDelta payloads too.
+	seed(&Frame{Type: TypeData, Data: Data{Round: 1, Dest: 2, Rel: "R", Buf: packed}})
+	seed(&Frame{Type: TypeData, Data: Data{Round: 0, Dest: 3, Rel: "hc!answers", Buf: wide}})
 	skewed := exchange.NewBuffer(2)
 	z := rand.NewZipf(rng, 1.2, 1, 1<<16)
 	for i := 0; i < 512; i++ {
 		skewed.Append(relation.Tuple{int(z.Uint64()), rng.IntN(64)})
 	}
 	skewed.Seal()
-	fastSeed(&Frame{Type: TypeData, Data: Data{Round: 2, Dest: 1, Rel: "Z", Buf: skewed}})
-	fastSeed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 0, Store: "R", View: "delta!R!1", Buf: packed}})
-	fastSeed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 1, Store: "Z", Del: true, Buf: skewed}})
+	seed(&Frame{Type: TypeData, Data: Data{Round: 2, Dest: 1, Rel: "Z", Buf: skewed}})
+	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 0, Store: "R", View: "delta!R!1", Buf: packed}})
+	seed(&Frame{Type: TypeDelta, Delta: Delta{Round: 5, Dest: 1, Store: "Z", Del: true, Buf: skewed}})
 	// Hostile shapes: lying lengths, dirty high bits, truncation.
 	f.Add([]byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{byte(TypeData), 0, 0, 0, 30, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 3, 0, 0, 0, 0, 2})
@@ -133,11 +120,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	// over-allocating.
 	f.Add([]byte{
 		byte(TypeDelta), 0, 0, 0, 21,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 2, 0, 1, encPacked, 0, 0, 0, 0,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 2, 0, 1, encRaw, 0, 0, 0, 0,
 	})
 	f.Add([]byte{
 		byte(TypeDelta), 0, 0, 0, 23,
-		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 1, encPacked, 0xFF, 0xFF, 0xFF, 0xFF,
+		0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 1, encRaw, 0xFF, 0xFF, 0xFF, 0xFF,
 		1, 2,
 	})
 	f.Add([]byte{
@@ -146,16 +133,45 @@ func FuzzDecodeFrame(f *testing.F) {
 		0x80,
 	})
 
+	// Retired packed encoding (enc 0): a Data and a Delta body as the
+	// protocol once defined them, big-endian words (1,2) and (3,4);
+	// both must now reject as unknown encodings.
+	f.Add([]byte{
+		byte(TypeData), 0, 0, 0, 34,
+		0, 0, 0, 2, 0, 0, 0, 1, 0, 1, 'R', 0, 2, 0, 0, 0, 0, 2,
+		0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4,
+	})
+	f.Add([]byte{
+		byte(TypeDelta), 0, 0, 0, 37,
+		0, 0, 0, 2, 0, 0, 0, 1, 0, 1, 'R', 0, 0, 0, 0, 2, 0, 0, 0, 0, 2,
+		0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4,
+	})
+	// A length prefix of exactly MaxPayload over a 3-byte stream: legal
+	// to declare, so only bounded payload growth keeps it cheap.
+	f.Add(append(appendU32([]byte{byte(TypeData)}, MaxPayload), 1, 2, 3))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := Decode(bytes.NewReader(data))
+		fr, err := decodeBounded(t, NewReader(bytes.NewReader(data)), len(data))
+		ft, terr := decodeBounded(t, NewTrustedReader(bytes.NewReader(data)), len(data))
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := Encode(&buf, fr); err != nil {
+		if terr != nil {
+			t.Fatalf("validating mode accepts %s frame, trusted mode rejects it: %v", fr.Type, terr)
+		}
+		if !reflect.DeepEqual(fr, ft) {
+			t.Fatalf("trusted decode %+v differs from validating decode %+v", ft, fr)
+		}
+		_, bufs, err := AppendFrames(nil, []*Frame{fr})
+		if err != nil {
 			t.Fatalf("accepted frame %s does not re-encode: %v", fr.Type, err)
 		}
-		again, err := Decode(&buf)
+		var buf bytes.Buffer
+		for _, b := range bufs {
+			buf.Write(b)
+		}
+		stream := buf.Bytes()
+		again, err := NewReader(bytes.NewReader(stream)).Next()
 		if err != nil {
 			t.Fatalf("re-encoded frame %s does not decode: %v", fr.Type, err)
 		}
@@ -200,60 +216,69 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 		}
-		// Differential oracle: every accepted frame must fast-encode
-		// into bytes on which the trusted Reader and the validating
-		// Decode agree exactly.
-		_, bufs, err := AppendFrames(nil, []*Frame{fr})
+		// Differential oracle on the re-encoded bytes: the trusted mode
+		// must agree exactly with the validating decode and the
+		// original.
+		ft, err = NewTrustedReader(bytes.NewReader(stream)).Next()
 		if err != nil {
-			t.Fatalf("accepted frame %s does not fast-encode: %v", fr.Type, err)
+			t.Fatalf("trusted decode of re-encoded %s frame: %v", fr.Type, err)
 		}
-		var fast bytes.Buffer
-		for _, b := range bufs {
-			fast.Write(b)
-		}
-		stream := fast.Bytes()
-		ft, err := NewTrustedReader(bytes.NewReader(stream)).Next()
-		if err != nil {
-			t.Fatalf("trusted decode of fast %s frame: %v", fr.Type, err)
-		}
-		fv, err := Decode(bytes.NewReader(stream))
-		if err != nil {
-			t.Fatalf("validating decode of fast %s frame: %v", fr.Type, err)
-		}
+		fv := again
 		if ft.Type != fv.Type {
-			t.Fatalf("fast decode type disagrees: trusted %s, validating %s", ft.Type, fv.Type)
+			t.Fatalf("decode type disagrees: trusted %s, validating %s", ft.Type, fv.Type)
 		}
 		if fr.Type == TypeData {
 			a := ft.Data.Buf.AppendTuples(nil)
 			b := fv.Data.Buf.AppendTuples(nil)
 			c := fr.Data.Buf.AppendTuples(nil)
 			if len(a) != len(b) || len(a) != len(c) {
-				t.Fatalf("fast decode tuple counts diverge: trusted %d, validating %d, original %d", len(a), len(b), len(c))
+				t.Fatalf("decode tuple counts diverge: trusted %d, validating %d, original %d", len(a), len(b), len(c))
 			}
 			for i := range a {
 				if !a[i].Equal(b[i]) || !a[i].Equal(c[i]) {
-					t.Fatalf("fast decode tuple %d diverges: trusted %v validating %v original %v", i, a[i], b[i], c[i])
+					t.Fatalf("decode tuple %d diverges: trusted %v validating %v original %v", i, a[i], b[i], c[i])
 				}
 			}
 		}
 		if fr.Type == TypeDelta {
 			if ft.Delta.Store != fr.Delta.Store || ft.Delta.View != fr.Delta.View || ft.Delta.Del != fr.Delta.Del ||
 				fv.Delta.Store != fr.Delta.Store || fv.Delta.View != fr.Delta.View || fv.Delta.Del != fr.Delta.Del {
-				t.Fatalf("fast decode delta header diverges: trusted %+v validating %+v original %+v", ft.Delta, fv.Delta, fr.Delta)
+				t.Fatalf("decode delta header diverges: trusted %+v validating %+v original %+v", ft.Delta, fv.Delta, fr.Delta)
 			}
 			a := ft.Delta.Buf.AppendTuples(nil)
 			b := fv.Delta.Buf.AppendTuples(nil)
 			c := fr.Delta.Buf.AppendTuples(nil)
 			if len(a) != len(b) || len(a) != len(c) {
-				t.Fatalf("fast decode delta tuple counts diverge: trusted %d, validating %d, original %d", len(a), len(b), len(c))
+				t.Fatalf("decode delta tuple counts diverge: trusted %d, validating %d, original %d", len(a), len(b), len(c))
 			}
 			for i := range a {
 				if !a[i].Equal(b[i]) || !a[i].Equal(c[i]) {
-					t.Fatalf("fast decode delta tuple %d diverges: trusted %v validating %v original %v", i, a[i], b[i], c[i])
+					t.Fatalf("decode delta tuple %d diverges: trusted %v validating %v original %v", i, a[i], b[i], c[i])
 				}
 			}
 		}
 	})
+}
+
+// decodeBounded decodes one frame from rd and fails the test if the
+// decode allocated more than a fixed allowance plus a small multiple
+// of the input size — a lying length or count must not buy a large
+// allocation in either reader mode.
+func decodeBounded(t *testing.T, rd *Reader, inputLen int) (*Frame, error) {
+	t.Helper()
+	// runtime/metrics reads the allocation counter without stopping the
+	// world, which keeps the fuzzer's exec rate up. It counts whole
+	// cached spans and the fuzz engine's own allocations, hence the
+	// 4 MiB allowance — still 32 times below a MaxPayload allocation.
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	f, err := rd.Next()
+	metrics.Read(sample)
+	if alloc, limit := sample[0].Value.Uint64()-before, uint64(4<<20+64*inputLen); alloc > limit {
+		t.Fatalf("decoding %d input bytes allocated %d bytes (limit %d)", inputLen, alloc, limit)
+	}
+	return f, err
 }
 
 // FuzzDecodeManifest holds the checkpoint-manifest decoder to the
@@ -263,11 +288,8 @@ func FuzzDecodeFrame(f *testing.F) {
 // re-encodes to the exact input bytes.
 func FuzzDecodeManifest(f *testing.F) {
 	seed := func(m *Manifest) {
-		var buf bytes.Buffer
-		if err := Encode(&buf, &Frame{Type: TypeCheckpoint, Checkpoint: m}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes()[5:]) // strip the frame header, keep the payload
+		// Strip the frame header, keep the payload.
+		f.Add(encode(f, []*Frame{{Type: TypeCheckpoint, Checkpoint: m}})[5:])
 	}
 	seed(&Manifest{Epoch: 1, Round: 2, Entries: []ManifestEntry{
 		{Worker: 0, Store: "R", Runs: 1, Tuples: 3},
@@ -289,11 +311,11 @@ func FuzzDecodeManifest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := Encode(&buf, &Frame{Type: TypeCheckpoint, Checkpoint: m}); err != nil {
+		head, _, err := AppendFrames(nil, []*Frame{{Type: TypeCheckpoint, Checkpoint: m}})
+		if err != nil {
 			t.Fatalf("accepted manifest does not re-encode: %v", err)
 		}
-		if got := buf.Bytes()[5:]; !bytes.Equal(got, data) {
+		if got := head[5:]; !bytes.Equal(got, data) {
 			t.Fatalf("accepted manifest is not canonical: %x re-encodes to %x", data, got)
 		}
 	})

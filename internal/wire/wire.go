@@ -6,25 +6,37 @@
 //
 //	type   byte   — a Type constant
 //	length uint32 — payload size in bytes, big-endian, ≤ MaxPayload
-//	payload       — type-specific, all integers big-endian
+//	payload       — type-specific; integers big-endian except raw words
 //
-// The payload that matters is the columnar one: a Data frame carries
-// one sealed exchange.Buffer — the unit the exchange layer ships
-// between workers — as the round id, the destination shard, the store
-// name, and the buffer body in its native encoding: one uint64 word
-// per tuple on the packed path, a row-major int64 sequence on the
-// flat fallback path. Control frames (Hello, Barrier, Join, Gather,
-// Ack, Done, Error) carry the BSP protocol around the data.
+// The payload that matters is the columnar one: a Data or Delta frame
+// carries one sealed exchange.Buffer — the unit the exchange layer
+// ships between workers — after its round id, destination shard and
+// store name, as a buffer body in one of three encodings:
 //
-// Decode is defensive: any malformed or truncated frame yields an
-// error, never a panic, and allocation is bounded by the bytes that
-// actually arrive (a length prefix larger than the available input
-// cannot force a large allocation). FuzzDecodeFrame in this package
-// holds the codec to that contract.
+//	raw   — packed uint64 words as little-endian memory, sent as a
+//	        zero-copy writev segment aliasing the buffer
+//	delta — sorted packed words as a uvarint first word plus uvarint
+//	        gaps, chosen when a skewed column compresses well
+//	flat  — big-endian row-major int64 values, for buffers whose
+//	        values are too wide to pack
+//
+// Control frames (Hello, Barrier, Join, Gather, Ack, Done, Error,
+// Ping, Pong, Epoch, Checkpoint, Trace) carry the BSP protocol around
+// the data.
+//
+// The codec has one encoder, AppendFrames, and one decoder, Reader,
+// whose mode is fixed by its constructor. NewReader validates every
+// buffer body (words sorted and within the packed width) and is the
+// path for input from outside the trust boundary. NewTrustedReader
+// skips those two checks for streams whose Data payloads come from
+// this repo's own encoder. In both modes a malformed or truncated
+// frame yields an error, never a panic, and allocation is bounded by
+// the bytes that actually arrive (a length prefix larger than the
+// available input cannot force a large allocation). FuzzDecodeFrame
+// in this package holds both modes to that contract.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -135,10 +147,10 @@ func (t Type) String() string {
 
 // Version is the protocol version carried by Hello frames; a worker
 // rejects a coordinator speaking a different version. Version 2 added
-// the fast-path Data encodings (raw little-endian words, delta-varint
-// words) that version-1 decoders would reject; version 3 added the
-// Delta frame of incremental view maintenance; version 4 added the
-// Trace frame of per-round distributed tracing.
+// the raw little-endian and delta-varint word encodings that version-1
+// decoders would reject; version 3 added the Delta frame of
+// incremental view maintenance; version 4 added the Trace frame of
+// per-round distributed tracing.
 const Version = 4
 
 // MaxPayload bounds a frame's declared payload size (128 MiB). A
@@ -289,185 +301,81 @@ type Frame struct {
 	Trace TraceHeader
 }
 
-// buffer encoding discriminators inside Data payloads. encPacked and
-// encFlat are the canonical big-endian encodings Encode emits; encRaw
-// and encDelta are the fast-path encodings AppendFrames chooses for
-// packed buffers (raw little-endian word memory for vectored sends,
-// delta-varint for skew-compressible columns). Decode validates all
-// four.
+// Buffer body encodings inside Data and Delta payloads. Byte 0, a
+// big-endian packed word encoding that no sender emits, is retired
+// and decodes as an unknown encoding.
 const (
-	encPacked = 0
-	encFlat   = 1
-	encRaw    = 2
-	encDelta  = 3
+	encFlat  = 1
+	encRaw   = 2
+	encDelta = 3
 )
 
-// Encode writes one frame to w in wire format.
-func Encode(w io.Writer, f *Frame) error {
-	var payload bytes.Buffer
-	switch f.Type {
-	case TypeHello:
-		putU16(&payload, f.Hello.Version)
-		putU32(&payload, f.Hello.Worker)
-		putU32(&payload, f.Hello.P)
-	case TypeData:
-		if err := encodeData(&payload, &f.Data); err != nil {
-			return err
-		}
-	case TypeDelta:
-		if err := encodeDelta(&payload, &f.Delta); err != nil {
-			return err
-		}
-	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
-		putU32(&payload, f.Round)
-	case TypeCheckpoint:
-		if err := encodeManifest(&payload, f.Checkpoint); err != nil {
-			return err
-		}
-	case TypeTrace:
-		putU64(&payload, f.Trace.TraceID)
-		putU64(&payload, f.Trace.Span)
-		putU32(&payload, f.Trace.Round)
-		if err := putString(&payload, f.Trace.QueryID); err != nil {
-			return err
-		}
-	case TypeJoin:
-		if err := putString(&payload, f.Join.Query); err != nil {
-			return err
-		}
-		if err := putString(&payload, f.Join.View); err != nil {
-			return err
-		}
-		payload.WriteByte(f.Join.Strategy)
-		if len(f.Join.Bindings) > maxName {
-			return fmt.Errorf("wire: %d bindings exceed limit", len(f.Join.Bindings))
-		}
-		putU16(&payload, uint16(len(f.Join.Bindings)))
-		for _, b := range f.Join.Bindings {
-			if err := putString(&payload, b[0]); err != nil {
-				return err
-			}
-			if err := putString(&payload, b[1]); err != nil {
-				return err
-			}
-		}
-	case TypeGather:
-		if err := putString(&payload, f.View); err != nil {
-			return err
-		}
-	case TypeDone:
-		putU32(&payload, f.Count)
-	case TypeError:
-		if err := putString(&payload, f.Msg); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("wire: encode unknown frame type %d", f.Type)
-	}
-	if payload.Len() > MaxPayload {
-		return fmt.Errorf("wire: %s payload %d bytes exceeds %d", f.Type, payload.Len(), MaxPayload)
-	}
+// payloadChunk is the most a Reader allocates ahead of the payload
+// bytes read so far; beyond it the buffer grows by doubling.
+const payloadChunk = 256 << 10
+
+// Reader decodes a stream of frames. NewReader validates every buffer
+// body; NewTrustedReader builds buffers from raw and delta words
+// without the sorted and packed-width checks. The payload buffer is
+// reused across frames and grows only as payload bytes arrive, so
+// decoding allocates little beyond the buffers that outlive the frame,
+// and a lying length prefix costs no more than the stream delivers.
+//
+// A trusted Reader must never be pointed at input from outside this
+// process's trust boundary.
+type Reader struct {
+	r       io.Reader
+	buf     []byte
+	trusted bool
+}
+
+// NewReader returns a validating Reader over r.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: r}
+}
+
+// NewTrustedReader returns a trusting Reader over r, for streams from
+// this repo's own coordinator and workers past the handshake. r should
+// already be buffered (the dist transports hand in their connection's
+// bufio.Reader).
+func NewTrustedReader(r io.Reader) *Reader {
+	return &Reader{r: r, trusted: true}
+}
+
+// Next reads and decodes one frame. It returns io.EOF when the stream
+// ends cleanly between frames and io.ErrUnexpectedEOF mid-frame.
+func (rd *Reader) Next() (*Frame, error) {
 	var hdr [5]byte
-	hdr[0] = byte(f.Type)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
-	return err
-}
-
-// encodeData serializes round, dest, name and the buffer body.
-func encodeData(w *bytes.Buffer, d *Data) error {
-	putU32(w, d.Round)
-	putU32(w, d.Dest)
-	if err := putString(w, d.Rel); err != nil {
-		return err
-	}
-	return encodeBufferBody(w, d.Buf)
-}
-
-// encodeDelta serializes round, dest, store, view, the op byte and the
-// buffer body.
-func encodeDelta(w *bytes.Buffer, d *Delta) error {
-	putU32(w, d.Round)
-	putU32(w, d.Dest)
-	if err := putString(w, d.Store); err != nil {
-		return err
-	}
-	if err := putString(w, d.View); err != nil {
-		return err
-	}
-	if d.Del {
-		w.WriteByte(1)
-	} else {
-		w.WriteByte(0)
-	}
-	return encodeBufferBody(w, d.Buf)
-}
-
-// encodeBufferBody serializes one buffer in the canonical encodings:
-// arity u16, encoding byte, tuple count u32, then big-endian words
-// (packed path) or big-endian row-major values (flat path). It is the
-// body shared by Data and Delta payloads.
-func encodeBufferBody(w *bytes.Buffer, buf *exchange.Buffer) error {
-	arity := buf.Arity()
-	if arity < 1 || arity > maxName {
-		return fmt.Errorf("wire: buffer arity %d out of range", arity)
-	}
-	putU16(w, uint16(arity))
-	if words, ok := buf.Words(); ok {
-		w.WriteByte(encPacked)
-		putU32(w, uint32(len(words)))
-		var scratch [8]byte
-		for _, word := range words {
-			binary.BigEndian.PutUint64(scratch[:], word)
-			w.Write(scratch[:])
-		}
-		return nil
-	}
-	flat := buf.Flat()
-	w.WriteByte(encFlat)
-	putU32(w, uint32(len(flat)/arity))
-	var scratch [8]byte
-	for _, v := range flat {
-		binary.BigEndian.PutUint64(scratch[:], uint64(int64(v)))
-		w.Write(scratch[:])
-	}
-	return nil
-}
-
-// Decode reads one frame from r. It returns io.EOF when r is
-// exhausted before the first header byte and io.ErrUnexpectedEOF on a
-// truncated frame. Allocation is bounded by the bytes actually
-// available in r, not by the declared length.
-func Decode(r io.Reader) (*Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	if _, err := io.ReadFull(rd.r, hdr[:1]); err != nil {
 		return nil, err
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+	if _, err := io.ReadFull(rd.r, hdr[1:]); err != nil {
 		return nil, unexpected(err)
 	}
 	typ := Type(hdr[0])
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxPayload {
-		return nil, fmt.Errorf("wire: %s payload length %d exceeds %d", typ, n, MaxPayload)
+	size := binary.BigEndian.Uint32(hdr[1:])
+	if size > MaxPayload {
+		return nil, fmt.Errorf("wire: %s payload length %d exceeds %d", typ, size, MaxPayload)
 	}
-	// Copy rather than pre-allocate: a lying length prefix on a
-	// truncated stream only allocates what the stream actually holds.
-	var body bytes.Buffer
-	m, err := io.CopyN(&body, r, int64(n))
-	if err != nil || m != int64(n) {
-		return nil, unexpected(err)
+	n := int(size)
+	buf := rd.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), payloadChunk)))
+		}
+		next := min(n, cap(buf))
+		if _, err := io.ReadFull(rd.r, buf[len(buf):next]); err != nil {
+			return nil, unexpected(err)
+		}
+		buf = buf[:next]
 	}
-	return decodePayload(typ, body.Bytes())
+	rd.buf = buf
+	return decodePayload(typ, buf, rd.trusted)
 }
 
-// decodePayload parses one frame payload with full validation. It is
-// the body shared by Decode (untrusted streams) and the control-frame
-// cases of the trusted Reader.
-func decodePayload(typ Type, body []byte) (*Frame, error) {
+// decodePayload parses one frame payload; trusted selects the buffer
+// body mode. Decoded frames never alias body.
+func decodePayload(typ Type, body []byte, trusted bool) (*Frame, error) {
 	p := &payloadReader{b: body}
 	f := &Frame{Type: typ}
 	switch typ {
@@ -476,9 +384,21 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 		f.Hello.Worker = p.u32()
 		f.Hello.P = p.u32()
 	case TypeData:
-		decodeData(p, &f.Data)
+		f.Data.Round = p.u32()
+		f.Data.Dest = p.u32()
+		f.Data.Rel = p.str()
+		f.Data.Buf = decodeBufferBody(p, trusted)
 	case TypeDelta:
-		decodeDelta(p, &f.Delta)
+		f.Delta.Round = p.u32()
+		f.Delta.Dest = p.u32()
+		f.Delta.Store = p.str()
+		f.Delta.View = p.str()
+		op := p.u8()
+		if p.err == nil && op > 1 {
+			p.fail(fmt.Errorf("delta op %d", op))
+		}
+		f.Delta.Del = op == 1
+		f.Delta.Buf = decodeBufferBody(p, trusted)
 	case TypeBarrier, TypeAck, TypePing, TypePong, TypeEpoch:
 		f.Round = p.u32()
 	case TypeCheckpoint:
@@ -512,32 +432,6 @@ func decodePayload(typ Type, body []byte) (*Frame, error) {
 		return nil, fmt.Errorf("wire: %s frame has %d trailing payload bytes", typ, len(p.b)-p.off)
 	}
 	return f, nil
-}
-
-// encodeManifest serializes a checkpoint manifest, enforcing the
-// canonical strictly-ascending (worker, store) entry order so every
-// manifest has one byte representation.
-func encodeManifest(w *bytes.Buffer, m *Manifest) error {
-	if m == nil {
-		return fmt.Errorf("wire: checkpoint frame without manifest")
-	}
-	putU32(w, m.Epoch)
-	putU32(w, m.Round)
-	putU32(w, uint32(len(m.Entries)))
-	for i, e := range m.Entries {
-		if i > 0 && !manifestLess(m.Entries[i-1], e) {
-			return fmt.Errorf("wire: manifest entries not strictly ascending at %d", i)
-		}
-		putU32(w, e.Worker)
-		if err := putString(w, e.Store); err != nil {
-			return err
-		}
-		putU32(w, e.Runs)
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], e.Tuples)
-		w.Write(b[:])
-	}
-	return nil
 }
 
 // decodeManifest parses a manifest payload. The declared entry count
@@ -579,7 +473,7 @@ func manifestLess(a, b ManifestEntry) bool {
 }
 
 // DecodeManifest parses a standalone checkpoint-manifest payload (the
-// body of a TypeCheckpoint frame) with the same validation Decode
+// body of a TypeCheckpoint frame) with the same validation a Reader
 // applies: bounded allocation, full consumption, canonical entry
 // order. It exists so the manifest codec can be fuzzed directly.
 func DecodeManifest(b []byte) (*Manifest, error) {
@@ -594,35 +488,14 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// decodeData parses a Data payload and reconstructs the buffer
-// through the validating exchange constructors.
-func decodeData(p *payloadReader, d *Data) {
-	d.Round = p.u32()
-	d.Dest = p.u32()
-	d.Rel = p.str()
-	d.Buf = decodeBufferBody(p)
-}
-
-// decodeDelta parses a Delta payload with the same validation.
-func decodeDelta(p *payloadReader, d *Delta) {
-	d.Round = p.u32()
-	d.Dest = p.u32()
-	d.Store = p.str()
-	d.View = p.str()
-	op := p.u8()
-	if p.err == nil && op > 1 {
-		p.fail(fmt.Errorf("delta op %d", op))
-		return
-	}
-	d.Del = op == 1
-	d.Buf = decodeBufferBody(p)
-}
-
 // decodeBufferBody parses one buffer body (arity, encoding, count,
-// values) with full validation — the shape shared by Data and Delta
-// payloads. A lying count cannot force a large allocation: every
-// encoding bounds its allocation by the bytes actually present.
-func decodeBufferBody(p *payloadReader) *exchange.Buffer {
+// values) — the shape shared by Data and Delta payloads. Raw words
+// decode with a single copy into word memory. Trust decides only how
+// the packed buffer is built: trusted bodies go straight into a sealed
+// buffer, validated ones must be sorted and pass the packed-width
+// check. A lying count cannot force a large allocation: every encoding
+// bounds its allocation by the bytes actually present.
+func decodeBufferBody(p *payloadReader, trusted bool) *exchange.Buffer {
 	arity := int(p.u16())
 	enc := p.u8()
 	count := int(p.u32())
@@ -633,21 +506,8 @@ func decodeBufferBody(p *payloadReader) *exchange.Buffer {
 		p.fail(fmt.Errorf("arity %d", arity))
 		return nil
 	}
+	var words []uint64
 	switch enc {
-	case encPacked:
-		if !p.need(count * 8) {
-			return nil
-		}
-		words := make([]uint64, count)
-		for i := range words {
-			words[i] = p.u64()
-		}
-		buf, err := exchange.NewBufferFromWords(arity, words)
-		if err != nil {
-			p.fail(err)
-			return nil
-		}
-		return buf
 	case encFlat:
 		values := count * arity
 		if !p.need(values * 8) {
@@ -672,39 +532,42 @@ func decodeBufferBody(p *payloadReader) *exchange.Buffer {
 		if !p.need(count * 8) {
 			return nil
 		}
-		words := make([]uint64, count)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(p.b[p.off:])
-			p.off += 8
+		raw := p.b[p.off : p.off+count*8]
+		p.off += count * 8
+		words = make([]uint64, count)
+		if mem, ok := wordsLE(words); ok {
+			copy(mem, raw)
+		} else {
+			for i := range words {
+				words[i] = binary.LittleEndian.Uint64(raw[i*8:])
+			}
 		}
-		if !slices.IsSorted(words) {
-			p.fail(fmt.Errorf("raw words not sorted"))
-			return nil
-		}
-		buf, err := exchange.NewBufferFromWords(arity, words)
-		if err != nil {
-			p.fail(err)
-			return nil
-		}
-		return buf
 	case encDelta:
-		rest := p.b[p.off:]
-		words, err := exchange.DecodeDeltaWords(rest, count)
-		if err != nil {
+		var err error
+		if words, err = exchange.DecodeDeltaWords(p.b[p.off:], count); err != nil {
 			p.fail(err)
 			return nil
 		}
 		p.off = len(p.b)
-		buf, err := exchange.NewBufferFromWords(arity, words)
-		if err != nil {
-			p.fail(err)
-			return nil
-		}
-		return buf
 	default:
 		p.fail(fmt.Errorf("unknown buffer encoding %d", enc))
 		return nil
 	}
+	var buf *exchange.Buffer
+	var err error
+	switch {
+	case trusted:
+		buf, err = exchange.NewBufferFromSortedWords(arity, words)
+	case !slices.IsSorted(words):
+		err = fmt.Errorf("packed words not sorted")
+	default:
+		buf, err = exchange.NewBufferFromWords(arity, words)
+	}
+	if err != nil {
+		p.fail(err)
+		return nil
+	}
+	return buf
 }
 
 // payloadReader is a bounds-checked cursor over a payload; the first
@@ -782,45 +645,11 @@ func (p *payloadReader) str() string {
 	return v
 }
 
-// putU16 appends a big-endian uint16.
-func putU16(w *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	w.Write(b[:])
-}
-
-// putU32 appends a big-endian uint32.
-func putU32(w *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-// putU64 appends a big-endian uint64.
-func putU64(w *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-// putString appends a uint16-length-prefixed string.
-func putString(w *bytes.Buffer, s string) error {
-	if len(s) > maxName {
-		return fmt.Errorf("wire: string of %d bytes exceeds %d", len(s), maxName)
-	}
-	putU16(w, uint16(len(s)))
-	w.WriteString(s)
-	return nil
-}
-
 // unexpected normalizes a short read into io.ErrUnexpectedEOF so
 // callers can distinguish "stream ended between frames" (io.EOF from
-// Decode's first byte) from "stream died mid-frame".
+// a frame's first byte) from "stream died mid-frame".
 func unexpected(err error) error {
 	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	if err == nil {
 		return io.ErrUnexpectedEOF
 	}
 	return err

@@ -2,11 +2,11 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -75,11 +75,7 @@ func sampleFrames(t *testing.T) []*Frame {
 
 func TestRoundTrip(t *testing.T) {
 	for _, f := range sampleFrames(t) {
-		var buf bytes.Buffer
-		if err := Encode(&buf, f); err != nil {
-			t.Fatalf("%s: encode: %v", f.Type, err)
-		}
-		got, err := Decode(&buf)
+		got, err := NewReader(bytes.NewReader(encode(t, []*Frame{f}))).Next()
 		if err != nil {
 			t.Fatalf("%s: decode: %v", f.Type, err)
 		}
@@ -103,14 +99,9 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRoundTripStream(t *testing.T) {
 	frames := sampleFrames(t)
-	var buf bytes.Buffer
-	for _, f := range frames {
-		if err := Encode(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rd := NewReader(bytes.NewReader(encode(t, frames)))
 	for i := 0; ; i++ {
-		f, err := Decode(&buf)
+		f, err := rd.Next()
 		if errors.Is(err, io.EOF) {
 			if i != len(frames) {
 				t.Fatalf("stream ended after %d frames, want %d", i, len(frames))
@@ -126,36 +117,34 @@ func TestRoundTripStream(t *testing.T) {
 	}
 }
 
-// TestDecodeTruncated: every proper prefix of every frame errors
-// without panicking, and a mid-frame cut is ErrUnexpectedEOF.
+// TestDecodeTruncated: in both reader modes, every proper prefix of
+// every frame errors without panicking, and a mid-frame cut is
+// ErrUnexpectedEOF.
 func TestDecodeTruncated(t *testing.T) {
 	for _, f := range sampleFrames(t) {
-		var buf bytes.Buffer
-		if err := Encode(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-		whole := buf.Bytes()
+		whole := encode(t, []*Frame{f})
 		for cut := 1; cut < len(whole); cut++ {
-			_, err := Decode(bytes.NewReader(whole[:cut]))
-			if err == nil {
-				t.Fatalf("%s: decode of %d/%d bytes succeeded", f.Type, cut, len(whole))
-			}
-			if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("%s: truncation at %d reported clean EOF", f.Type, cut)
+			for _, rd := range readers(whole[:cut]) {
+				_, err := rd.Next()
+				if err == nil {
+					t.Fatalf("%s: decode of %d/%d bytes succeeded", f.Type, cut, len(whole))
+				}
+				if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("%s: truncation at %d reported clean EOF", f.Type, cut)
+				}
 			}
 		}
 	}
 }
 
+// readers returns a validating and a trusted Reader over b.
+func readers(b []byte) []*Reader {
+	return []*Reader{NewReader(bytes.NewReader(b)), NewTrustedReader(bytes.NewReader(b))}
+}
+
 func TestDecodeMalformed(t *testing.T) {
 	packed := buildBuffer(t, 3, 4, 100, 9)
-	enc := func(f *Frame) []byte {
-		var buf bytes.Buffer
-		if err := Encode(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	enc := func(f *Frame) []byte { return encode(t, []*Frame{f}) }
 	cases := []struct {
 		name string
 		data []byte
@@ -176,15 +165,26 @@ func TestDecodeMalformed(t *testing.T) {
 		{"count overflows payload", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
 			b[19], b[20], b[21], b[22] = 0xFF, 0xFF, 0xFF, 0xFF
 		}), "truncated payload"},
+		// Encoding byte 0 was a big-endian packed word body that no
+		// sender emits; it is retired and now an unknown encoding.
+		{"retired packed encoding", mutate(enc(&Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}), func(b []byte) {
+			b[18] = 0
+		}), "unknown buffer encoding 0"},
+		{"retired packed delta body", mutate(enc(&Frame{Type: TypeDelta, Delta: Delta{Store: "R", Buf: packed}}), func(b []byte) {
+			// enc byte sits after 5 hdr + 8 round/dest + 3 "R" + 2 "" + 1 op + 2 arity.
+			b[21] = 0
+		}), "unknown buffer encoding 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Decode(bytes.NewReader(c.data))
-			if err == nil {
-				t.Fatal("want error, got nil")
-			}
-			if c.want != "" && !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("error %q does not mention %q", err, c.want)
+			for _, rd := range readers(c.data) {
+				_, err := rd.Next()
+				if err == nil {
+					t.Fatal("want error, got nil")
+				}
+				if c.want != "" && !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("error %q does not mention %q", err, c.want)
+				}
 			}
 		})
 	}
@@ -195,11 +195,7 @@ func TestDecodeMalformed(t *testing.T) {
 // lying counts, duplicates, disorder, and truncation.
 func TestManifestValidation(t *testing.T) {
 	enc := func(m *Manifest) []byte {
-		var buf bytes.Buffer
-		if err := Encode(&buf, &Frame{Type: TypeCheckpoint, Checkpoint: m}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()[5:]
+		return encode(t, []*Frame{{Type: TypeCheckpoint, Checkpoint: m}})[5:]
 	}
 	good := &Manifest{Epoch: 1, Round: 2, Entries: []ManifestEntry{
 		{Worker: 0, Store: "R", Runs: 1, Tuples: 3},
@@ -209,14 +205,13 @@ func TestManifestValidation(t *testing.T) {
 		t.Fatalf("canonical manifest rejected: %v", err)
 	}
 
-	var buf bytes.Buffer
-	err := Encode(&buf, &Frame{Type: TypeCheckpoint, Checkpoint: &Manifest{
+	_, _, err := AppendFrames(nil, []*Frame{{Type: TypeCheckpoint, Checkpoint: &Manifest{
 		Entries: []ManifestEntry{{Worker: 1, Store: "R"}, {Worker: 0, Store: "R"}},
-	}})
+	}}})
 	if err == nil || !strings.Contains(err.Error(), "ascending") {
 		t.Fatalf("encode of out-of-order entries: %v, want ascending error", err)
 	}
-	if err := Encode(&buf, &Frame{Type: TypeCheckpoint}); err == nil {
+	if _, _, err := AppendFrames(nil, []*Frame{{Type: TypeCheckpoint}}); err == nil {
 		t.Fatal("encode of checkpoint without manifest succeeded")
 	}
 
@@ -253,26 +248,24 @@ func TestManifestValidation(t *testing.T) {
 	}
 }
 
-// enc2 hand-encodes a manifest payload without Encode's ordering
+// enc2 hand-encodes a manifest payload without the encoder's ordering
 // check, so decode-side validation can be exercised on shapes the
 // encoder refuses to produce.
 func enc2(t *testing.T, m *Manifest) []byte {
 	t.Helper()
-	var w bytes.Buffer
-	putU32(&w, m.Epoch)
-	putU32(&w, m.Round)
-	putU32(&w, uint32(len(m.Entries)))
+	w := appendU32(nil, m.Epoch)
+	w = appendU32(w, m.Round)
+	w = appendU32(w, uint32(len(m.Entries)))
 	for _, e := range m.Entries {
-		putU32(&w, e.Worker)
-		if err := putString(&w, e.Store); err != nil {
+		w = appendU32(w, e.Worker)
+		var err error
+		if w, err = appendStrings(w, e.Store); err != nil {
 			t.Fatal(err)
 		}
-		putU32(&w, e.Runs)
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], e.Tuples)
-		w.Write(b[:])
+		w = appendU32(w, e.Runs)
+		w = appendU64(w, e.Tuples)
 	}
-	return w.Bytes()
+	return w
 }
 
 // mutate copies b, applies f, returns the copy.
@@ -287,31 +280,30 @@ func mutate(b []byte, f func([]byte)) []byte {
 // must be rejected.
 func TestDecodeRejectsDirtyHighBits(t *testing.T) {
 	packed := buildBuffer(t, 3, 2, 10, 5)
-	var buf bytes.Buffer
-	if err := Encode(&buf, &Frame{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[len(b)-8] |= 0x80 // arity 3 uses 63 bits; set bit 63 of the last word
-	_, err := Decode(bytes.NewReader(b))
+	b := encode(t, []*Frame{{Type: TypeData, Data: Data{Rel: "R", Buf: packed}}})
+	b[len(b)-1] |= 0x80 // arity 3 uses 63 bits; set bit 63 of the last (little-endian) word
+	_, err := NewReader(bytes.NewReader(b)).Next()
 	if err == nil || !strings.Contains(err.Error(), "bits above") {
 		t.Fatalf("want high-bit rejection, got %v", err)
 	}
 }
 
-// TestDecodedBufferSorted: decoding an unsorted payload still yields
-// a sealed, sorted buffer (the Column invariant).
+// TestDecodedBufferSorted: decoding an unsorted flat payload still
+// yields a sealed, sorted buffer (the Column invariant).
 func TestDecodedBufferSorted(t *testing.T) {
-	b := exchange.NewBuffer(2)
-	b.Append(relation.Tuple{9, 1})
-	b.Append(relation.Tuple{1, 2})
-	b.Append(relation.Tuple{5, 0})
-	// Do not Seal: encode the unsorted words via a crafted frame.
-	var buf bytes.Buffer
-	if err := Encode(&buf, &Frame{Type: TypeData, Data: Data{Rel: "R", Buf: b}}); err != nil {
-		t.Fatal(err)
+	// The encoder only ships sealed buffers, so craft the unsorted
+	// rows (9,1), (1,2), (5,0) as a flat body by hand.
+	body := appendU32(nil, 0) // round
+	body = appendU32(body, 0) // dest
+	body, _ = appendStrings(body, "R")
+	body = appendU16(body, 2)
+	body = append(body, encFlat)
+	body = appendU32(body, 3)
+	for _, v := range []uint64{9, 1, 1, 2, 5, 0} {
+		body = appendU64(body, v)
 	}
-	got, err := Decode(&buf)
+	stream := appendU32([]byte{byte(TypeData)}, uint32(len(body)))
+	got, err := NewReader(bytes.NewReader(append(stream, body...))).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,5 +315,25 @@ func TestDecodedBufferSorted(t *testing.T) {
 	}
 	if !got.Data.Buf.Sealed() {
 		t.Fatal("decoded buffer not sealed")
+	}
+}
+
+// TestLyingLengthBoundedAllocation: a Data header declaring
+// MaxPayload, then 3 bytes and EOF, is io.ErrUnexpectedEOF in both
+// reader modes and costs well under a MiB — the payload buffer grows
+// only as bytes arrive, never to the declared length up front.
+func TestLyingLengthBoundedAllocation(t *testing.T) {
+	stream := append(appendU32([]byte{byte(TypeData)}, MaxPayload), 1, 2, 3)
+	for i, rd := range readers(stream) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := rd.Next()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("reader %d: %v, want io.ErrUnexpectedEOF", i, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("reader %d: lying length allocated %.1f MiB", i, float64(alloc)/(1<<20))
+		}
 	}
 }
