@@ -15,8 +15,9 @@
 // fall out of buffer sizes with no per-message accounting.
 //
 // Receivers accumulate sealed (sorted) runs in a Column; deduplicated
-// global answers come from a k-way merge over sorted runs (MergeRuns /
-// MergeDedupTuples) instead of concatenate-then-sort.
+// global answers come from a k-way merge over sorted runs (MergeRuns,
+// or FoldRuns when an aggregate folds the stream) instead of
+// concatenate-then-sort.
 //
 // Routing policy is pluggable through the Partitioner interface; the
 // three disciplines of the engines — plain hash partitioning, hypercube

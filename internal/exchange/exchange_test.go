@@ -160,11 +160,13 @@ func TestMergeRunsMixedPaths(t *testing.T) {
 	}
 }
 
-func TestMergeDedupTuplesEmpty(t *testing.T) {
-	if got := MergeDedupTuples(nil, 2); got != nil {
+func TestMergeRunsEmpty(t *testing.T) {
+	if got := MergeRuns(nil); got != nil {
 		t.Errorf("empty merge = %v", got)
 	}
-	if got := MergeDedupTuples([][]relation.Tuple{nil, {}}, 2); got != nil {
+	empty := NewBuffer(2)
+	empty.Seal()
+	if got := MergeRuns([]*Buffer{nil, empty}); got != nil {
 		t.Errorf("all-empty merge = %v", got)
 	}
 }

@@ -1,10 +1,6 @@
 package exchange
 
-import (
-	"sync"
-
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // MergeRuns k-way merges sealed sorted runs into their deduplicated,
 // lexicographically sorted union — the columnar replacement for
@@ -55,18 +51,30 @@ func MergeRuns(runs []*Buffer) []relation.Tuple {
 	return out
 }
 
-// mergeWords merges the sorted word slices of the runs, dropping
-// duplicates, via a binary min-heap of run cursors.
+// mergeWords merges the word payloads of packed runs.
 func mergeWords(runs []*Buffer) []uint64 {
+	words := make([][]uint64, len(runs))
+	for i, r := range runs {
+		words[i] = r.words
+	}
+	return MergeWords(words)
+}
+
+// MergeWords k-way merges sorted word slices into their deduplicated
+// sorted union via a binary min-heap of slice cursors. The inputs are
+// only read; the result is always freshly allocated.
+func MergeWords(runs [][]uint64) []uint64 {
 	type cursor struct {
 		words []uint64
 		pos   int
 	}
 	h := make([]cursor, 0, len(runs))
 	total := 0
-	for _, r := range runs {
-		h = append(h, cursor{words: r.words})
-		total += len(r.words)
+	for _, ws := range runs {
+		if len(ws) > 0 {
+			h = append(h, cursor{words: ws})
+			total += len(ws)
+		}
 	}
 	less := func(a, b cursor) bool { return a.words[a.pos] < b.words[b.pos] }
 	down := func(i int) {
@@ -153,55 +161,4 @@ func FoldRuns(runs []*Buffer, yield func(relation.Tuple)) {
 		}
 		yield(row)
 	}
-}
-
-// mergeParallelThreshold is the total tuple count above which
-// MergeDedupTuples packs its groups concurrently.
-const mergeParallelThreshold = 1 << 14
-
-// MergeDedupTuples deduplicates and sorts the union of the groups
-// (typically per-worker local join outputs) by packing each group into
-// a sorted columnar run — in parallel when the input is large — and
-// k-way merging the runs.
-func MergeDedupTuples(groups [][]relation.Tuple, arity int) []relation.Tuple {
-	runs := make([]*Buffer, 0, len(groups))
-	total := 0
-	for _, g := range groups {
-		if len(g) > 0 {
-			total += len(g)
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	build := func(g []relation.Tuple) *Buffer {
-		b := NewBuffer(arity)
-		for _, t := range g {
-			b.Append(t)
-		}
-		b.Seal()
-		return b
-	}
-	if total < mergeParallelThreshold {
-		for _, g := range groups {
-			if len(g) > 0 {
-				runs = append(runs, build(g))
-			}
-		}
-		return MergeRuns(runs)
-	}
-	runs = make([]*Buffer, len(groups))
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, g []relation.Tuple) {
-			defer wg.Done()
-			runs[i] = build(g)
-		}(i, g)
-	}
-	wg.Wait()
-	return MergeRuns(runs)
 }

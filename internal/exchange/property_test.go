@@ -153,9 +153,9 @@ func TestPartitionBitsMatchPerTupleAccounting(t *testing.T) {
 	}
 }
 
-// TestMergeDedupEquivalence: the k-way merge over packed sorted runs
-// agrees with the reference concat-then-DedupSort on random groups,
-// including Zipf-skewed duplicates.
+// TestMergeDedupEquivalence: MergeRuns, the k-way merge over sorted
+// runs, agrees with the reference concat-then-DedupSort on random
+// groups sealed as runs, including Zipf-skewed duplicates.
 func TestMergeDedupEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0x4ead))
@@ -179,7 +179,15 @@ func TestMergeDedupEquivalence(t *testing.T) {
 			groups[gi] = g
 			all = append(all, g...)
 		}
-		got := MergeDedupTuples(groups, arity)
+		runs := make([]*Buffer, len(groups))
+		for gi, g := range groups {
+			runs[gi] = NewBuffer(arity)
+			for _, tu := range g {
+				runs[gi].Append(tu)
+			}
+			runs[gi].Seal()
+		}
+		got := MergeRuns(runs)
 		ref := make([]relation.Tuple, len(all))
 		for i, tu := range all {
 			ref[i] = tu.Clone()

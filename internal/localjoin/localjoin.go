@@ -1,9 +1,11 @@
 // Package localjoin evaluates a full conjunctive query on data held
 // in memory. It is used in two roles: as the local computation every
-// MPC worker performs on the tuples it received (the paper gives the
+// MPC worker performs on what it received (EvaluateRuns works straight
+// off a distributed worker's stored sealed runs; the paper gives the
 // servers unlimited computational power, so any correct evaluator is
 // faithful to the model), and as the single-node reference evaluator
-// that supplies ground truth in tests and experiments.
+// over tuples (Evaluate) that supplies ground truth in tests and
+// experiments.
 //
 // Three strategies are provided: a pairwise hash-join pipeline that
 // joins atoms in a connectivity-respecting order, a generic
@@ -18,6 +20,7 @@ package localjoin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -236,19 +239,18 @@ func atomRelation(atom query.Atom, tuples []relation.Tuple, share bool) (*relati
 		// checked.
 		for _, t := range tuples {
 			if len(t) != atom.Arity() {
-				return nil, fmt.Errorf("localjoin: tuple arity %d != atom %s arity %d",
-					len(t), atom.Name, atom.Arity())
+				return nil, arityError(atom, len(t))
 			}
 		}
 		r.Tuples = tuples
 		return r, nil
 	}
+	repeats := repeatPairs(atom)
 	for _, t := range tuples {
 		if len(t) != atom.Arity() {
-			return nil, fmt.Errorf("localjoin: tuple arity %d != atom %s arity %d",
-				len(t), atom.Name, atom.Arity())
+			return nil, arityError(atom, len(t))
 		}
-		if !consistentRepeats(atom, t) {
+		if !consistent(t, repeats) {
 			continue
 		}
 		row := make(relation.Tuple, len(pos))
@@ -260,16 +262,28 @@ func atomRelation(atom query.Atom, tuples []relation.Tuple, share bool) (*relati
 	return r, nil
 }
 
-// consistentRepeats checks repeated-variable positions agree.
-func consistentRepeats(atom query.Atom, t relation.Tuple) bool {
-	first := make(map[string]int, len(atom.Vars))
+// repeatPairs lists the (first, later) column pairs of atom that carry
+// the same variable; a tuple joins only if each pair agrees.
+func repeatPairs(atom query.Atom) [][2]int {
+	var pairs [][2]int
 	for j, v := range atom.Vars {
-		if fj, ok := first[v]; ok {
-			if t[fj] != t[j] {
-				return false
-			}
-		} else {
-			first[v] = j
+		if first := slices.Index(atom.Vars, v); first < j {
+			pairs = append(pairs, [2]int{first, j})
+		}
+	}
+	return pairs
+}
+
+// arityError reports a tuple or run whose arity does not match atom.
+func arityError(atom query.Atom, arity int) error {
+	return fmt.Errorf("localjoin: tuple arity %d != atom %s arity %d", arity, atom.Name, atom.Arity())
+}
+
+// consistent reports whether t agrees on every repeated-variable pair.
+func consistent(t relation.Tuple, repeats [][2]int) bool {
+	for _, p := range repeats {
+		if t[p[0]] != t[p[1]] {
+			return false
 		}
 	}
 	return true
@@ -284,8 +298,7 @@ func evalBacktracking(q *query.Query, b Bindings) ([]relation.Tuple, error) {
 	for _, a := range q.Atoms {
 		for _, t := range b[a.Name] {
 			if len(t) != a.Arity() {
-				return nil, fmt.Errorf("localjoin: tuple arity %d != atom %s arity %d",
-					len(t), a.Name, a.Arity())
+				return nil, arityError(a, len(t))
 			}
 		}
 	}
